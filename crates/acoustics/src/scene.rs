@@ -219,11 +219,6 @@ impl Scene {
         self.faults = Some(plan);
     }
 
-    /// Remove any attached fault plan.
-    pub fn clear_faults(&mut self) {
-        self.faults = None;
-    }
-
     /// The attached fault plan, if any.
     pub fn faults(&self) -> Option<&SceneFaultPlan> {
         self.faults.as_ref()

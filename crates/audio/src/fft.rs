@@ -245,11 +245,6 @@ pub fn fft(buf: &mut [Complex]) {
     FftPlanner::new().forward(buf);
 }
 
-/// One-shot inverse FFT.
-pub fn ifft(buf: &mut [Complex]) {
-    FftPlanner::new().inverse(buf);
-}
-
 /// Naive O(n²) DFT, used as the correctness oracle in tests and nowhere
 /// else.
 pub fn dft_reference(input: &[Complex]) -> Vec<Complex> {

@@ -30,9 +30,9 @@
 //! through the windowed render path, so each listening tick costs
 //! O(window) regardless of elapsed scene time.
 
-use crate::controller::{merge_event_streams, MdnController, MdnEvent};
+use crate::controller::{merge_event_streams, CellObservation, MdnController};
 pub use crate::controller::{CellId, ShardEvent};
-use crate::detector::DetectorConfig;
+use crate::detector::{DetectorConfig, FrameMagnitudes};
 use crate::encoder::SoundingDevice;
 use crate::freqplan::{FrequencyPlan, FrequencySet};
 use mdn_acoustics::ambient::AmbientProfile;
@@ -644,11 +644,6 @@ impl CellPlan {
         Some(dev)
     }
 
-    /// Cells whose mic is still serviceable.
-    pub fn alive_cells(&self) -> impl Iterator<Item = &Cell> {
-        self.cells.iter().filter(|c| c.alive)
-    }
-
     /// The detector configuration cell `c`'s controller runs: defaults
     /// with the magnitude floor raised to the cell's threshold.
     ///
@@ -953,7 +948,7 @@ impl ShardedController {
 
     /// Hot-swap to a patched plan between capture windows: every cell's
     /// controller is rebuilt from `plan` (a dead cell's controller ends
-    /// up with no bindings and is skipped by [`ShardedController::listen`]).
+    /// up with no bindings and is skipped by [`ShardedController::observe`]).
     /// Rebuilding resets detector noise floors to their static floor —
     /// the self-healing loop re-tunes them from its running ambient
     /// estimate after the swap.
@@ -993,7 +988,7 @@ impl ShardedController {
         &mut self.controllers[cell]
     }
 
-    /// Worker threads for [`ShardedController::listen`]: `0` sizes from
+    /// Worker threads for [`ShardedController::observe`]: `0` sizes from
     /// the machine, `1` forces sequential, `n` caps at `n`. The merged
     /// stream is bit-identical for every setting.
     pub fn set_threads(&mut self, threads: usize) {
@@ -1036,17 +1031,17 @@ impl ShardedController {
         }
     }
 
-    /// Listen over window `w` with every cell's controller and merge the
-    /// shards into one time-ordered, cell-attributed stream.
+    /// Observe window `w` with every cell's controller: one capture and
+    /// one analysis per cell ([`MdnController::observe`]), the shards'
+    /// events merged into one time-ordered, cell-attributed stream.
     ///
-    /// Cells are captured/decoded in parallel (chunked over scoped
-    /// threads, each writing a pre-assigned output slot) and merged
-    /// sequentially by [`merge_event_streams`], so the result is
-    /// bit-identical for any thread count.
-    pub fn listen(&self, scene: &Scene, w: Window) -> Vec<ShardEvent> {
+    /// Cells are observed in parallel (chunked over scoped threads, each
+    /// writing a pre-assigned output slot) and merged sequentially by
+    /// [`merge_event_streams`], so the result is bit-identical for any
+    /// thread count.
+    pub fn observe(&self, scene: &Scene, w: Window) -> WindowObservation {
         let n = self.controllers.len();
-        let mut per_cell: Vec<Vec<MdnEvent>> = Vec::with_capacity(n);
-        per_cell.resize_with(n, Vec::new);
+        let mut per_cell: Vec<Option<CellObservation>> = vec![None; n];
 
         let workers = if self.threads == 0 {
             std::thread::available_parallelism().map_or(1, |p| p.get())
@@ -1055,23 +1050,12 @@ impl ShardedController {
         }
         .clamp(1, n.max(1));
 
-        // An evacuated cell's controller has no bindings (and no
-        // detector): nothing to capture or decode.
-        let listen_one = |ctl: &MdnController| -> Vec<MdnEvent> {
-            if ctl.bindings().is_empty() {
-                Vec::new()
-            } else {
-                ctl.listen(scene, w)
-            }
-        };
-
         if workers <= 1 {
             for (ctl, out) in self.controllers.iter().zip(per_cell.iter_mut()) {
-                *out = listen_one(ctl);
+                *out = ctl.observe(scene, w);
             }
         } else {
             let chunk = n.div_ceil(workers);
-            let listen_one = &listen_one;
             std::thread::scope(|s| {
                 for (ctls, outs) in self
                     .controllers
@@ -1080,21 +1064,47 @@ impl ShardedController {
                 {
                     s.spawn(move || {
                         for (ctl, out) in ctls.iter().zip(outs.iter_mut()) {
-                            *out = listen_one(ctl);
+                            *out = ctl.observe(scene, w);
                         }
                     });
                 }
             });
         }
 
-        for (c, events) in per_cell.iter().enumerate() {
+        let mut magnitudes = Vec::with_capacity(n);
+        let mut streams = Vec::with_capacity(n);
+        for (c, observation) in per_cell.into_iter().enumerate() {
+            let (fm, events) = match observation {
+                Some(o) => (Some(o.magnitudes), o.events),
+                None => (None, Vec::new()),
+            };
             if !events.is_empty() {
                 self.obs_cell_events[c].add(events.len() as u64);
             }
+            magnitudes.push(fm);
+            streams.push(events);
         }
-
-        merge_event_streams(per_cell)
+        WindowObservation {
+            magnitudes,
+            events: merge_event_streams(streams),
+        }
     }
+
+    /// The merged event stream of [`Self::observe`] alone.
+    pub fn listen(&self, scene: &Scene, w: Window) -> Vec<ShardEvent> {
+        self.observe(scene, w).events
+    }
+}
+
+/// One window observed by every cell of a [`ShardedController`]: each
+/// cell's [`CellObservation`], with the events merged across cells.
+#[derive(Debug, Clone)]
+pub struct WindowObservation {
+    /// Each cell's in-window magnitude rows, in cell order; `None` for a
+    /// cell with no bindings (an evacuated cell), which captures nothing.
+    pub magnitudes: Vec<Option<FrameMagnitudes>>,
+    /// Every cell's events, merged by [`merge_event_streams`].
+    pub events: Vec<ShardEvent>,
 }
 
 #[cfg(test)]

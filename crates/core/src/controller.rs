@@ -7,7 +7,7 @@
 //! controller turns raw captures into `(device, slot, time)` events that
 //! the §4–§7 applications consume.
 
-use crate::detector::{DetectorConfig, ToneDetector, ToneObservation};
+use crate::detector::{DetectorConfig, FrameMagnitudes, ToneDetector, ToneObservation};
 use crate::freqplan::FrequencySet;
 use crate::health::{ControlPath, HealthState, HealthTracker};
 use mdn_acoustics::medium::Pos;
@@ -18,7 +18,7 @@ use mdn_audio::Signal;
 use mdn_obs::{Counter, Registry};
 use std::time::Duration;
 
-/// How far before a window [`MdnController::listen`] extends its capture
+/// How far before a window [`MdnController::observe`] extends its capture
 /// so the detector's neighbouring-frame gate sees the body of a tone
 /// whose tail crosses the boundary (clamped at scene start). Anything
 /// that ended more than this before a capture can never influence it —
@@ -47,6 +47,18 @@ pub struct MdnEvent {
     pub freq_hz: f64,
     /// Measured magnitude.
     pub magnitude: f64,
+}
+
+/// One cell-window's observation: a single pre-rolled capture of the
+/// window, analyzed once. Decode, ambient re-tuning, health and trace all
+/// read this one value.
+#[derive(Debug, Clone)]
+pub struct CellObservation {
+    /// The magnitude rows whose frames start inside the window, with
+    /// scene-absolute frame times — what the ambient estimator folds in.
+    pub magnitudes: FrameMagnitudes,
+    /// The events decoded inside the window, with scene-absolute times.
+    pub events: Vec<MdnEvent>,
 }
 
 /// The Music-Defined Networking controller.
@@ -209,51 +221,48 @@ impl MdnController {
             .set_noise_floor(floors);
     }
 
-    /// The full per-frame magnitude matrix of a capture — decoding
-    /// without the thresholds, for ambient tracking. `None` until a
-    /// device is bound.
-    pub fn analyze(&self, capture: &Signal) -> Option<crate::detector::FrameMagnitudes> {
-        self.detector.as_ref().map(|det| det.analyze(capture))
-    }
-
-    /// Decode a captured signal into device events. Times are relative to
-    /// the start of the capture.
-    pub fn decode(&self, capture: &Signal) -> Vec<MdnEvent> {
-        let Some(det) = &self.detector else {
-            return Vec::new();
-        };
-        let events: Vec<MdnEvent> = det
-            .detect(capture)
-            .into_iter()
-            .map(|o| self.to_event(o))
-            .collect();
-        self.obs_events.add(events.len() as u64);
-        events
-    }
-
-    /// Capture window `w` and decode it in one step; event times are
-    /// offset by `w.from` so they are scene-absolute.
+    /// Observe window `w`: capture it once, analyze it once, and decode
+    /// the analysis. Event and frame times are scene-absolute. `None`
+    /// until a device is bound — there is nothing to listen for, so
+    /// nothing is captured.
     ///
     /// The capture includes a 150 ms *pre-roll* before the window (clamped at
     /// scene start) that is decoded for context but filtered from the
-    /// returned events: a tone that *ends* right at `from` then has its
-    /// loud body inside the same capture, so the detector's
-    /// neighbouring-frame gate can suppress the offset splatter instead of
-    /// reporting a ghost event. Without the pre-roll, windowed listeners
-    /// (the 300 ms tick loops of §6) see phantom tones at window
+    /// returned events and magnitude rows: a tone that *ends* right at
+    /// `from` then has its loud body inside the same capture, so the
+    /// detector's neighbouring-frame gate can suppress the offset splatter
+    /// instead of reporting a ghost event. Without the pre-roll, windowed
+    /// listeners (the 300 ms tick loops of §6) see phantom tones at window
     /// boundaries.
-    pub fn listen(&self, scene: &Scene, w: Window) -> Vec<MdnEvent> {
+    pub fn observe(&self, scene: &Scene, w: Window) -> Option<CellObservation> {
+        let det = self.detector.as_ref()?;
         let pre_roll = LISTEN_PRE_ROLL.min(w.from);
         let start = w.from - pre_roll;
         let capture = self.capture(scene, Window::new(start, w.len + pre_roll));
-        self.decode(&capture)
+        let mut analysis = det.analyze(&capture);
+        let decoded = det.decide(&analysis);
+        self.obs_events.add(decoded.len() as u64);
+        let events = decoded
             .into_iter()
-            .filter(|e| e.time >= pre_roll)
-            .map(|mut e| {
+            .filter(|o| o.time >= pre_roll)
+            .map(|o| {
+                let mut e = self.to_event(o);
                 e.time += start;
                 e
             })
-            .collect()
+            .collect();
+        let first = analysis.times.partition_point(|&t| t < pre_roll);
+        let magnitudes = FrameMagnitudes {
+            times: analysis.times[first..].iter().map(|&t| t + start).collect(),
+            magnitudes: analysis.magnitudes.split_off(first * analysis.candidates),
+            candidates: analysis.candidates,
+        };
+        Some(CellObservation { magnitudes, events })
+    }
+
+    /// The decoded events of [`Self::observe`] alone.
+    pub fn listen(&self, scene: &Scene, w: Window) -> Vec<MdnEvent> {
+        self.observe(scene, w).map(|o| o.events).unwrap_or_default()
     }
 
     fn to_event(&self, o: ToneObservation) -> MdnEvent {
@@ -418,9 +427,25 @@ mod tests {
     fn no_bindings_means_no_events() {
         let scene = Scene::quiet(SR);
         let ctl = MdnController::new(Microphone::measurement(), Pos::ORIGIN);
-        assert!(ctl
-            .listen(&scene, Window::from_start(Duration::from_millis(100)))
-            .is_empty());
+        let w = Window::from_start(Duration::from_millis(100));
+        assert!(ctl.observe(&scene, w).is_none());
+        assert!(ctl.listen(&scene, w).is_empty());
+    }
+
+    #[test]
+    fn observation_keeps_only_in_window_rows_at_scene_times() {
+        let (mut scene, ctl, mut d1, _) = setup();
+        d1.emit(&mut scene, 1, Duration::from_millis(600)).unwrap();
+        let w = Window::new(Duration::from_millis(500), Duration::from_millis(300));
+        let obs = ctl.observe(&scene, w).expect("devices are bound");
+        let fm = &obs.magnitudes;
+        // 300 ms at a 25 ms hop: the pre-roll's rows are dropped, leaving
+        // as many frames as a bare capture of `w` has.
+        assert_eq!(fm.n_frames(), 12);
+        assert_eq!(fm.magnitudes.len(), 12 * fm.candidates);
+        assert!(fm.times.iter().all(|&t| t >= w.from && t < w.end()));
+        assert!(!obs.events.is_empty());
+        assert_eq!(obs.events, ctl.listen(&scene, w));
     }
 
     #[test]

@@ -192,7 +192,9 @@ struct DetectorObs {
 /// material for ambient tracking and calibration.
 #[derive(Debug, Clone)]
 pub struct FrameMagnitudes {
-    /// Start time of each frame within the capture.
+    /// Start time of each frame: within the capture as
+    /// [`ToneDetector::analyze`] returns it, scene-absolute in a
+    /// [`crate::controller::CellObservation`].
     pub times: Vec<Duration>,
     /// Row-major `n_frames × candidates` magnitude matrix.
     pub magnitudes: Vec<f64>,
@@ -342,8 +344,8 @@ impl ToneDetector {
 
     /// The full per-frame magnitude matrix for `signal` — every
     /// candidate probed in every frame, with frame start times. This is
-    /// [`Self::detect`] without the thresholding: ambient trackers use it
-    /// to watch the slots that *didn't* fire.
+    /// [`Self::detect`] without the thresholding ([`Self::decide`]):
+    /// ambient trackers read it to watch the slots that *didn't* fire.
     pub fn analyze(&self, signal: &Signal) -> FrameMagnitudes {
         let (grid, magnitudes) = self.frame_magnitudes(signal);
         FrameMagnitudes {
@@ -429,9 +431,20 @@ impl ToneDetector {
     ///   frame's strongest candidate (suppresses far sidelobes of loud
     ///   tones in partially-occupied frames).
     pub fn detect(&self, signal: &Signal) -> Vec<ToneObservation> {
-        let (grid, all_mags) = self.frame_magnitudes(signal);
+        self.decide(&self.analyze(signal))
+    }
+
+    /// The thresholding half of [`Self::detect`]: the local-max, relative
+    /// and SNR gates over an already analyzed magnitude matrix. Observation
+    /// times are the matrix's frame times.
+    ///
+    /// # Panics
+    /// Panics if `fm` was analyzed for a different candidate count.
+    pub fn decide(&self, fm: &FrameMagnitudes) -> Vec<ToneObservation> {
         let _span = self.obs.local_max_span.start_span();
         let k = self.candidates.len();
+        assert_eq!(fm.candidates, k, "analysis candidate count must match the detector");
+        let n_frames = fm.n_frames();
         // Candidate indices sorted by frequency, for local-max testing.
         let mut order: Vec<usize> = (0..k).collect();
         order.sort_by(|&a, &b| self.candidates[a].total_cmp(&self.candidates[b]));
@@ -443,15 +456,15 @@ impl ToneDetector {
         // at a frame's neighbours: a tone's onset and tail splatter energy
         // into one boundary frame, and gating that frame against the
         // adjacent full-tone frame suppresses the ghosts.
-        let frame_maxes: Vec<f64> = all_mags
+        let frame_maxes: Vec<f64> = fm
+            .magnitudes
             .chunks(k.max(1))
             .map(|mags| mags.iter().cloned().fold(0.0, f64::max))
             .collect();
         let mut out = Vec::new();
-        for fi in 0..grid.n_frames {
-            let mags = &all_mags[fi * k..(fi + 1) * k];
-            let time = grid.time(fi);
-            let neighborhood_max = frame_maxes[fi.saturating_sub(1)..(fi + 2).min(grid.n_frames)]
+        for (fi, &time) in fm.times.iter().enumerate() {
+            let mags = fm.frame(fi);
+            let neighborhood_max = frame_maxes[fi.saturating_sub(1)..(fi + 2).min(n_frames)]
                 .iter()
                 .cloned()
                 .fold(0.0, f64::max);

@@ -23,11 +23,11 @@
 //!   switch's patched allocation (boosted level, spare slots), exactly
 //!   as the physical switch would.
 //! * **WindowBoundary** — close the capture window that ends here: run
-//!   the sharded listen over `[window_start, now)` and schedule the
+//!   the sharded observation over `[window_start, now)` and schedule the
 //!   matching *SelfHealTick* at the same instant (it lands later in the
 //!   tie order, so every same-time event fires first). The next
 //!   boundary is scheduled one window ahead; the chain is self-sustaining.
-//! * **SelfHealTick** — the reacting half: fold the observed events into
+//! * **SelfHealTick** — the reacting half: fold the observation into
 //!   ambient floors, the health ledger, and (at most) one evacuation,
 //!   then retire emissions the next capture can no longer see.
 //! * **Fault** — a [`NetFault`] transition (link down/up, switch
@@ -53,7 +53,7 @@
 //! delayed) signal has already started — so adding emissions as their
 //! events fire produces byte-identical windows to pre-building the
 //! whole scene, and the event-driven loop decodes bit-identical
-//! [`ShardEvent`] streams to the batch loop for **any** thread count
+//! [`crate::controller::ShardEvent`] streams to the batch loop for **any** thread count
 //! (the sharded merge is already order-canonical). The equivalence
 //! proptest in `tests/event_loop_equivalence.rs` pins this.
 //!
@@ -66,7 +66,8 @@
 //! carried to the following window's expectations, matching where its
 //! samples land).
 
-use crate::controller::{ShardEvent, LISTEN_PRE_ROLL};
+use crate::cells::WindowObservation;
+use crate::controller::LISTEN_PRE_ROLL;
 use crate::selfheal::{SelfHealingController, TickReport};
 use mdn_acoustics::scene::Scene;
 use mdn_acoustics::speaker::Speaker;
@@ -147,8 +148,8 @@ pub struct UnifiedLoop {
     /// (time, seq) order.
     pending_expected: Vec<PendingTone>,
     /// A window observed at its boundary, awaiting its SelfHealTick:
-    /// the window, its decoded events, and the observation's wall cost.
-    observed: Option<(Window, Vec<ShardEvent>, u64)>,
+    /// the window, its observation, and the observation's wall cost.
+    observed: Option<(Window, WindowObservation, u64)>,
     /// When set, each heal pass retires emissions that ended (plus this
     /// propagation bound) before the next capture's pre-roll, keeping
     /// the scene O(active) over long soaks.
@@ -356,17 +357,17 @@ impl UnifiedLoop {
                 ControlEvent::WindowBoundary => {
                     let w = Window::between(self.window_start, at);
                     let observe_started = self.trace.is_enabled().then(Instant::now);
-                    let events = self.heal.observe_window(&self.scene, w);
+                    let observation = self.heal.observe_window(&self.scene, w);
                     let observe_wall_ns = observe_started
                         .map_or(0, |t| t.elapsed().as_nanos() as u64);
-                    self.observed = Some((w, events, observe_wall_ns));
+                    self.observed = Some((w, observation, observe_wall_ns));
                     // Same instant, later seq: every already-scheduled
                     // event at `at` fires before the heal pass.
                     self.schedule_control(at, ControlEvent::SelfHealTick);
                     self.schedule_control(at + self.window_len, ControlEvent::WindowBoundary);
                 }
                 ControlEvent::SelfHealTick => {
-                    let (w, events, observe_wall_ns) = self
+                    let (w, observation, observe_wall_ns) = self
                         .observed
                         .take()
                         .expect("a SelfHealTick always follows its WindowBoundary");
@@ -381,7 +382,7 @@ impl UnifiedLoop {
                     let expected: Vec<String> =
                         drained.iter().map(|tone| tone.device.clone()).collect();
                     let heal_started = self.trace.is_enabled().then(Instant::now);
-                    let report = self.heal.heal_pass(&self.scene, w, &expected, events);
+                    let report = self.heal.heal_pass(&self.scene, w, &expected, observation);
                     if self.trace.is_enabled() {
                         let heal_wall_ns =
                             heal_started.map_or(0, |t| t.elapsed().as_nanos() as u64);

@@ -18,8 +18,9 @@
 //! * [`controller`] — bindings from frequency sets to devices, capture →
 //!   `(device, slot, time)` events;
 //! * [`cells`] — acoustic cells: spatial frequency reuse across cell
-//!   sub-bands and a sharded multi-mic controller, scaling past the
-//!   single-microphone ~1000-frequency ceiling;
+//!   sub-bands and a sharded multi-mic controller (the §8 array of
+//!   microphones), scaling past the single-microphone ~1000-frequency
+//!   ceiling;
 //! * [`apps`] — the six applications of §4–§7 plus the open-problem
 //!   extensions;
 //! * [`fan`] — the parametric server-fan model behind Figures 6–7;
@@ -31,8 +32,6 @@
 //! * [`relay`] — the §8 multi-hop tone relay extension;
 //! * [`live`] — a threaded streaming listener for endless microphone
 //!   input (chunked audio in, events out);
-//! * [`mod@array`] — the §8 microphone-array extension (fused listeners over
-//!   switch groups);
 //! * [`ofbridge`] — glue from simulated switches to the real TCP
 //!   OpenFlow controller in `mdn-proto::controller`: ships table
 //!   misses up as `PacketIn`s and applies returned `FlowMod`s;
@@ -62,7 +61,6 @@
 #![warn(missing_docs)]
 
 pub mod apps;
-pub mod array;
 pub mod cells;
 pub mod controller;
 pub mod detector;

@@ -13,7 +13,6 @@
 //! `examples/of_controller.rs`): schedule a token per control interval,
 //! call [`OfAgent::pump`] when it fires, and re-arm.
 
-use mdn_net::ftable::FlowTable;
 use mdn_net::{Network, NodeId};
 use mdn_proto::controller::{OfClient, OfStreamError};
 use mdn_proto::openflow::{FlowModCommand, OfMessage};
@@ -118,18 +117,6 @@ impl OfAgent {
             }
             _ => false,
         }
-    }
-
-    /// The switch's current rule count (attached-table convenience).
-    pub fn rule_count(&self, net: &Network) -> usize {
-        net.switch(self.switch).table.len()
-    }
-
-    /// Apply one already-received message to an arbitrary table —
-    /// re-exported [`OfClient::apply_flow_mod`] for callers that manage
-    /// their own sockets.
-    pub fn apply_to_table(table: &mut FlowTable, msg: &OfMessage) -> bool {
-        OfClient::apply_flow_mod(table, msg)
     }
 }
 

@@ -665,6 +665,12 @@ impl ScenarioSpec {
         for (i, fault) in self.faults.iter().enumerate() {
             let field = format!("faults[{i}]");
             known(&field, &fault.kind, FAULT_KINDS)?;
+            if fault.at_ms >= total_ms {
+                return Err(ScenarioError::invalid(
+                    field,
+                    format!("at_ms {} past the {total_ms} ms horizon", fault.at_ms),
+                ));
+            }
             if let Some(until) = fault.until_ms {
                 if until <= fault.at_ms {
                     return Err(ScenarioError::invalid(

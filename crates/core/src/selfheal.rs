@@ -21,7 +21,7 @@
 //!   between capture windows. Recovery times land in the tracker's MTTR
 //!   ledger and the attached registry.
 
-use crate::cells::{CellPlan, CellPlanError, ShardedController};
+use crate::cells::{CellPlan, CellPlanError, ShardedController, WindowObservation};
 use crate::controller::ShardEvent;
 use crate::detector::FrameMagnitudes;
 use crate::health::{HealthConfig, HealthTracker};
@@ -339,38 +339,41 @@ impl SelfHealingController {
     /// declared dead and the cell is evacuated (at most one evacuation
     /// per tick).
     pub fn tick(&mut self, scene: &Scene, w: Window, expected: &[String]) -> TickReport {
-        let events = self.observe_window(scene, w);
-        self.heal_pass(scene, w, expected, events)
+        let observed = self.observe_window(scene, w);
+        self.heal_pass(scene, w, expected, observed)
     }
 
-    /// The listening half of a tick: sharded capture + decode over window
-    /// `w`. Split from [`SelfHealingController::heal_pass`] so an
-    /// event-driven loop can run the observation at the window-boundary
-    /// event and the healing reaction as its own self-heal event, while
-    /// the batch [`SelfHealingController::tick`] composes the same two
-    /// halves — one implementation, bit-identical either way.
-    pub fn observe_window(&self, scene: &Scene, w: Window) -> Vec<ShardEvent> {
-        self.sharded.listen(scene, w)
+    /// The listening half of a tick: one observation of window `w` per
+    /// cell ([`ShardedController::observe`]). Split from
+    /// [`SelfHealingController::heal_pass`] so an event-driven loop can run
+    /// the observation at the window-boundary event and the healing
+    /// reaction as its own self-heal event, while the batch
+    /// [`SelfHealingController::tick`] composes the same two halves — one
+    /// implementation, bit-identical either way.
+    pub fn observe_window(&self, scene: &Scene, w: Window) -> WindowObservation {
+        self.sharded.observe(scene, w)
     }
 
-    /// The reacting half of a tick: fold `events` (the decode of window
-    /// `w`) into the ambient estimate, the health ledger, and — when a
-    /// cell's mic is declared dead — the evacuation re-plan.
+    /// The reacting half of a tick: fold `observed` (window `w`'s
+    /// observation) into the ambient estimate, the health ledger, and —
+    /// when a cell's mic is declared dead — the evacuation re-plan.
+    ///
+    /// `_scene` is unused; it stays so existing callers keep their call shape.
     pub fn heal_pass(
         &mut self,
-        scene: &Scene,
+        _scene: &Scene,
         w: Window,
         expected: &[String],
-        events: Vec<ShardEvent>,
+        observed: WindowObservation,
     ) -> TickReport {
         let now = w.end();
         let mut report = TickReport {
-            events,
+            events: observed.events,
             ..TickReport::default()
         };
         self.obs.ticks.inc();
 
-        self.retune_floors(scene, w);
+        self.retune_floors(&observed.magnitudes);
 
         // Hear/miss evidence. Any decode is positive evidence for its
         // device, expected or not; misses only count for devices the
@@ -407,22 +410,18 @@ impl SelfHealingController {
         report
     }
 
-    /// Update every live cell's ambient estimate from its own capture of
-    /// `w` and push the floors into its detector.
-    fn retune_floors(&mut self, scene: &Scene, w: Window) {
+    /// Fold every live cell's in-window magnitude rows into its ambient
+    /// estimate and push the floors into its detector.
+    fn retune_floors(&mut self, magnitudes: &[Option<FrameMagnitudes>]) {
         for (c, cell) in self.plan.cells().iter().enumerate() {
-            if !cell.alive || self.sharded.controllers()[c].bindings().is_empty() {
-                continue;
-            }
-            let capture = self.sharded.controllers()[c].capture(scene, w);
-            let Some(fm) = self.sharded.controllers()[c].analyze(&capture) else {
+            let Some(fm) = magnitudes[c].as_ref().filter(|_| cell.alive) else {
                 continue;
             };
             let est = match &mut self.estimators[c] {
                 Some(est) if est.candidates() == fm.candidates => est,
                 slot => slot.insert(AmbientEstimator::new(fm.candidates, self.cfg.estimator)),
             };
-            est.observe(&fm);
+            est.observe(fm);
             let floors = est.floors();
             self.sharded.controller_mut(c).set_noise_floor(&floors);
             self.obs.retunes.inc();

@@ -92,13 +92,6 @@ impl ControlChannel {
         self.to_controller.set_faults(ct_seed, to_controller);
     }
 
-    /// Advance both directions' delay clocks by one tick (a no-op unless
-    /// a delay fault is attached).
-    pub fn tick_faults(&mut self) {
-        self.to_switch.tick();
-        self.to_controller.tick();
-    }
-
     /// Per-direction fault accounting `(to_switch, to_controller)`.
     pub fn fault_stats(&self) -> (FaultStats, FaultStats) {
         (self.to_switch.stats, self.to_controller.stats)

@@ -223,6 +223,18 @@ fn validation_rejects_malformed_specs_by_field() {
                 }]
             }),
         ),
+        // A fault landing at the horizon: validated specs must never
+        // reach the builder's fault-window panic.
+        (
+            "faults[0]",
+            Box::new(|s| {
+                s.faults = vec![FaultSpec {
+                    kind: "noise_burst".into(),
+                    at_ms: s.window_ms * s.windows,
+                    ..FaultSpec::default()
+                }]
+            }),
+        ),
         // link_flap without a fabric to flap.
         (
             "faults[0]",

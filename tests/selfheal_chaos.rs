@@ -395,3 +395,29 @@ fn selfheal_chaos_is_deterministic() {
     let b = run_scenario(SEED, true);
     assert_eq!(a, b);
 }
+
+/// One observation per cell-window: the unified loop renders each live
+/// cell's capture once and runs the Goertzel bank over it once, and
+/// decode and the ambient re-tune both read that one analysis. The
+/// evacuated cell is not observed after its replan.
+#[test]
+fn one_render_and_one_analysis_per_cell_window() {
+    let spec = chaos_spec();
+    let registry = mdn_obs::Registry::new();
+    let out = mdn_core::scenario::run(&spec, &registry).expect("chaos scenario runs");
+    let pairs: u64 = out
+        .windows
+        .iter()
+        .scan(spec.hall.cells as u64, |live, w| {
+            let observed = *live;
+            *live -= u64::from(w.replanned.is_some());
+            Some(observed)
+        })
+        .sum();
+    assert_eq!(pairs, 52, "4 cells × 15 windows, cell 1 gone for the last 8");
+    let snap = registry.snapshot();
+    for stage in ["scene.render", "detect.goertzel_bank"] {
+        let count = snap.histograms[&format!("mdn_stage_ns{{stage=\"{stage}\"}}")].count;
+        assert_eq!(count, pairs, "{stage} ran {count} times for {pairs} cell-windows");
+    }
+}
