@@ -175,7 +175,8 @@ mod tests {
         assert_eq!(r.cdf.len(), 100);
         assert!(r.p50_ms > 0.0);
         assert!(r.p90_ms >= r.p50_ms);
-        // Modern hardware: well under 5 ms for a 4096-pt FFT.
-        assert!(r.p99_ms < 5.0, "p99 {} ms", r.p99_ms);
+        assert!(r.p99_ms >= r.p90_ms);
+        // The wall-clock bound (p99 < 5 ms) is enforced by the release
+        // `figures` run, not here: a debug build under host load can miss it.
     }
 }

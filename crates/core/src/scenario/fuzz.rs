@@ -1,9 +1,10 @@
 //! Seeded scenario fuzzing: generate small random specs and assert the
 //! pipeline's standing invariants on every one.
 //!
-//! Each case draws a hall, a window length, a hand-placed emission
-//! schedule and a fault script from a [`SplitMix64`] stream, then
-//! checks:
+//! Each case draws a hall, a window length, a packet fabric, a
+//! hand-placed emission schedule and a fault script (any of the six
+//! fault kinds, at any time inside the horizon) from a [`SplitMix64`]
+//! stream, then checks:
 //!
 //! 1. **Windowed ≡ batch** — the event-driven run's per-window reports
 //!    equal the fixed-tick batch reference byte-for-byte (the
@@ -72,10 +73,20 @@ fn random_spec(rng: &mut SplitMix64, case: u32) -> ScenarioSpec {
     spec.window_ms = rng.range(250, 400);
     spec.windows = windows;
     // Live packet traffic on the same heap, so Deliver/Generate events
-    // interleave with every control event.
-    spec.traffic = TrafficSpec {
-        topology: "pair".into(),
-        ..TrafficSpec::default()
+    // interleave with every control event: either the h1—s—h2 pair or
+    // a small leaf-spine fabric with leaves a `link_flap` can take down.
+    spec.traffic = if rng.range(0, 2) == 0 {
+        TrafficSpec {
+            topology: "pair".into(),
+            ..TrafficSpec::default()
+        }
+    } else {
+        TrafficSpec {
+            topology: "leaf_spine".into(),
+            spines: 2,
+            leaves: rng.range(2, 5) as usize,
+            ..TrafficSpec::default()
+        }
     };
 
     // A hand-placed schedule, time-sorted per window by the runner.
@@ -96,32 +107,62 @@ fn random_spec(rng: &mut SplitMix64, case: u32) -> ScenarioSpec {
         ..EmissionSpec::default()
     };
 
-    // A seeded mid-run fault, one of the equivalence suite's four kinds.
+    // Up to two seeded faults of any of the six kinds, landing anywhere
+    // in `[0, horizon)` (the last window included) and lifting at a
+    // seeded instant or, some of the time, never.
     let total_ms = spec.window_ms * spec.windows;
-    spec.faults = match rng.range(0, 4) {
-        0 => vec![],
-        1 => vec![FaultSpec {
-            kind: "speaker_dropout".into(),
-            device: Some("c0-s0".into()),
-            at_ms: spec.window_ms,
-            until_ms: Some(total_ms),
-            ..FaultSpec::default()
-        }],
-        2 => vec![FaultSpec {
-            kind: "noise_burst".into(),
-            level_db: Some(60.0),
-            at_ms: spec.window_ms,
-            until_ms: Some(spec.window_ms * 2),
-            ..FaultSpec::default()
-        }],
-        _ => vec![FaultSpec {
-            kind: "mic_dead".into(),
-            cell: Some(1),
-            at_ms: spec.window_ms,
-            until_ms: Some(total_ms),
-            ..FaultSpec::default()
-        }],
+    let leaves = if spec.traffic.topology == "leaf_spine" {
+        spec.traffic.leaves
+    } else {
+        0
     };
+    for _ in 0..rng.range(0, 3) {
+        let at_ms = rng.range(0, total_ms);
+        let until_ms = (rng.range(0, 3) > 0).then(|| rng.range(at_ms + 1, total_ms + 1));
+        let cell = rng.range(0, cells as u64) as usize;
+        let device = format!("c{cell}-s{}", rng.range(0, 2));
+        let fault = FaultSpec {
+            at_ms,
+            until_ms,
+            ..FaultSpec::default()
+        };
+        spec.faults.push(match rng.range(0, 6) {
+            0 => FaultSpec {
+                kind: "mic_dead".into(),
+                cell: Some(cell),
+                ..fault
+            },
+            1 => FaultSpec {
+                kind: "speaker_dropout".into(),
+                device: Some(device),
+                ..fault
+            },
+            2 => FaultSpec {
+                kind: "speaker_degraded".into(),
+                device: Some(device),
+                level_db: Some(rng.range(3, 40) as f64),
+                ..fault
+            },
+            3 => FaultSpec {
+                kind: "noise_burst".into(),
+                level_db: Some(rng.range(40, 70) as f64),
+                ..fault
+            },
+            4 => FaultSpec {
+                kind: "music".into(),
+                cell: Some(cell),
+                ..fault
+            },
+            // A pair topology has no leaf to flap.
+            _ if leaves == 0 => continue,
+            _ => FaultSpec {
+                kind: "link_flap".into(),
+                leaf: Some(rng.range(0, leaves as u64) as usize),
+                until_ms: Some(until_ms.unwrap_or(total_ms)),
+                ..fault
+            },
+        });
+    }
     spec
 }
 
@@ -183,4 +224,45 @@ pub fn fuzz(cases: u32, seed: u64) -> Result<FuzzReport, ScenarioError> {
         report.emissions_checked += spec.emissions.explicit.len() as u64;
     }
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// The generator reaches every fault kind, lands faults in the last
+    /// window, leaves `until_ms` open some of the time, and only flaps a
+    /// leaf the drawn fabric has.
+    #[test]
+    fn generator_draws_every_fault_kind_at_every_time() {
+        let mut rng = SplitMix64::new(7);
+        let mut kinds = BTreeSet::new();
+        let (mut in_last_window, mut open_ended) = (false, false);
+        for case in 0..200 {
+            let spec = random_spec(&mut rng, case);
+            spec.validate().expect("generated specs validate");
+            let total_ms = spec.window_ms * spec.windows;
+            for f in &spec.faults {
+                kinds.insert(f.kind.clone());
+                assert!(f.at_ms < total_ms);
+                in_last_window |= f.at_ms >= total_ms - spec.window_ms;
+                open_ended |= f.until_ms.is_none();
+                if f.kind == "link_flap" {
+                    assert_eq!(spec.traffic.topology, "leaf_spine");
+                }
+            }
+        }
+        let all = [
+            "link_flap",
+            "mic_dead",
+            "music",
+            "noise_burst",
+            "speaker_degraded",
+            "speaker_dropout",
+        ];
+        assert_eq!(kinds, all.iter().map(|k| k.to_string()).collect());
+        assert!(in_last_window, "no fault landed in the last window");
+        assert!(open_ended, "every fault had an until_ms");
+    }
 }

@@ -298,7 +298,7 @@ pub fn run_batch(spec: &ScenarioSpec) -> Result<Vec<WindowReport>, ScenarioError
     Ok(out)
 }
 
-/// A scenario's headline numbers in the soak bench's JSON shape, so
+/// A scenario's headline numbers in the `BENCH_soak.json` shape, so
 /// every scenario summary is comparable with `BENCH_soak.json` and the
 /// CI matrix can validate one key set.
 pub fn summary(spec: &ScenarioSpec, out: &ScenarioOutcome, registry: &Registry) -> serde::Value {

@@ -4,8 +4,8 @@
 //! relaxed read, and render. Neither pauses writers — exports are
 //! point-in-time and safe to take while detection workers run.
 //!
-//! The [`Snapshot`] is the machine-readable form (same spirit as
-//! `BENCH_detect.json`): flat maps keyed by the rendered sample name
+//! The [`Snapshot`] is the machine-readable form (same spirit as the
+//! `BENCH_*.json` summaries): flat maps keyed by the rendered sample name
 //! (`name` or `name{k="v"}`), plus the journal tail. Counters and gauges
 //! are deterministic for a deterministic scenario; histograms carry wall
 //! time and are *not* — comparisons that need bit-exactness should stick

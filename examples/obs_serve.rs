@@ -12,15 +12,14 @@
 //! 2×3 switches, every switch sounding every window — run end-to-end by
 //! the scenario harness, with this example keeping the serve-after-run
 //! lifecycle (the harness's own `obs_addr` output serves *during* a
-//! run; CI's obs-trace-smoke job wants a quiet server it can curl
-//! afterwards).
+//! run; this one stays up afterwards as a quiet server to curl).
 //!
 //! Environment:
 //!
 //! * `MDN_OBS_ADDR` — bind address (default `127.0.0.1:0`; the chosen
 //!   port is printed as `OBS_ADDR=<addr>` so scripts can parse it).
 //! * `MDN_OBS_SERVE_SECS` — how long to keep serving before a clean
-//!   shutdown (default 2; the CI obs-trace-smoke job curls within this).
+//!   shutdown (default 2).
 
 use mdn_core::scenario::{self, ScenarioSpec};
 use mdn_obs::{ObsServer, Registry};

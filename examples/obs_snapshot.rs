@@ -12,7 +12,7 @@
 //! ```
 //!
 //! The JSON snapshot is printed after a `=== JSON snapshot ===` marker so
-//! scripts (and the CI obs-smoke job) can slice it off and parse it.
+//! scripts can slice it off and parse it.
 
 use mdn_acoustics::faults::{SceneFaultPlan, Window};
 use mdn_acoustics::{medium::Pos, mic::Microphone, scene::Scene};

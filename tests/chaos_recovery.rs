@@ -68,6 +68,8 @@ struct ScenarioOutcome {
     obs_counters: std::collections::BTreeMap<String, u64>,
     obs_gauges: std::collections::BTreeMap<String, f64>,
     obs_journal: Vec<mdn_obs::JournalEvent>,
+    /// Metric families (names with labels stripped) in the JSON snapshot.
+    obs_families: std::collections::BTreeSet<String>,
 }
 
 /// Run the chaos scenario: 10 s of traffic over the rhomboid, primary
@@ -231,6 +233,15 @@ fn run_scenario(seed: u64, backoff: BackoffConfig) -> ScenarioOutcome {
     net.drain();
     net.publish_obs(&registry);
     let snap = registry.snapshot();
+    let doc = serde_json::from_str(&snap.to_json()).expect("snapshot JSON parses");
+    let mut obs_families = std::collections::BTreeSet::new();
+    for section in ["counters", "gauges", "histograms"] {
+        if let serde_json::Value::Object(metrics) = &doc[section] {
+            for (name, _) in metrics {
+                obs_families.insert(name.split('{').next().unwrap_or(name).to_string());
+            }
+        }
+    }
 
     let (forward_faults, reverse_faults) = mp_link.fault_stats();
     ScenarioOutcome {
@@ -256,6 +267,7 @@ fn run_scenario(seed: u64, backoff: BackoffConfig) -> ScenarioOutcome {
         obs_counters: snap.counters,
         obs_gauges: snap.gauges,
         obs_journal: snap.journal,
+        obs_families,
     }
 }
 
@@ -414,4 +426,31 @@ fn obs_snapshot_matches_ground_truth() {
         out.obs_gauges.keys().any(|k| k.starts_with("mdn_queue_accepted")),
         "no per-queue stats in the snapshot"
     );
+}
+
+/// One run feeds every instrumented layer into one registry, and its
+/// JSON snapshot parses and carries a metric family from each: detector
+/// stages and decode, health, MP delivery, the scene, and the fabric's
+/// delivery, queue and link statistics.
+#[test]
+fn json_snapshot_covers_every_layer() {
+    let out = run_scenario(SEED, BackoffConfig::default());
+    for family in [
+        "mdn_stage_ns",
+        "mdn_detect_frames_total",
+        "mdn_events_decoded_total",
+        "mdn_health_transitions_total",
+        "mdn_mp_sent_total",
+        "mdn_mp_retransmitted_total",
+        "mdn_scene_emissions_total",
+        "mdn_net_delivered",
+        "mdn_queue_accepted",
+        "mdn_link_utilization",
+    ] {
+        assert!(
+            out.obs_families.contains(family),
+            "snapshot missing metric family {family}: {:?}",
+            out.obs_families
+        );
+    }
 }

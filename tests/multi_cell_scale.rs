@@ -17,12 +17,13 @@ use mdn_acoustics::Window;
 const SR: u32 = 44_100;
 const CELLS: usize = 20;
 
-/// The 20-cell default hall, planned through the shared scenario
-/// preset (the same hall `scenarios/scale_120.json` runs end-to-end).
-fn plan_120() -> CellPlan {
-    let spec = ScenarioSpec::small_hall(CELLS, 6, 8, "office");
+/// A `cells`-cell hall of the default 6×8 shape, planned through the
+/// shared scenario preset (at 20 cells, the hall `scenarios/scale_120.json`
+/// runs end-to-end).
+fn plan_cells(cells: usize) -> CellPlan {
+    let spec = ScenarioSpec::small_hall(cells, 6, 8, "office");
     ScenarioBuilder::new(&spec)
-        .expect("default 20-cell hall validates")
+        .expect("default hall validates")
         .plan()
         .clone()
 }
@@ -38,38 +39,48 @@ type EmittedScene = (
 /// calibration. Expected = the exact `(cell, device, slot)` set.
 fn emitted_scene() -> &'static EmittedScene {
     static SCENE: OnceLock<EmittedScene> = OnceLock::new();
-    SCENE.get_or_init(|| {
-        let plan = plan_120();
-        let mut scene = mdn_acoustics::scene::Scene::new(SR, AmbientProfile::office());
-        scene.set_ambient_seed(42);
-        let mut expected = BTreeSet::new();
-        for (c, mut devs) in plan.sounding_devices().into_iter().enumerate() {
-            for dev in devs.iter_mut() {
-                // One slot index per cell: within a cell the six
-                // simultaneous tones stay 160 Hz apart (concurrent tones
-                // 20 Hz apart would trip the detector's local-max
-                // suppression, the known §3 limit), while across cells
-                // the staggered index makes some same-color foreign cells
-                // sound *different* slots of the reused sub-band — the
-                // false-attribution case — and others the identical slot
-                // — the additive case.
-                let slot = c % plan.config().slots_per_switch;
-                dev.emit_slot(
-                    &mut scene,
-                    slot,
-                    Duration::from_millis(700),
-                    Duration::from_millis(150),
-                )
-                .expect("emit");
-                expected.insert((c, dev.name.clone(), slot));
-            }
+    SCENE.get_or_init(|| emit_every_switch(plan_cells(CELLS)))
+}
+
+/// `plan`'s switches all sounding one slot each at 700 ms.
+fn emit_every_switch(plan: CellPlan) -> EmittedScene {
+    let mut scene = mdn_acoustics::scene::Scene::new(SR, AmbientProfile::office());
+    scene.set_ambient_seed(42);
+    let mut expected = BTreeSet::new();
+    for (c, mut devs) in plan.sounding_devices().into_iter().enumerate() {
+        for dev in devs.iter_mut() {
+            // One slot index per cell: within a cell the six
+            // simultaneous tones stay 160 Hz apart (concurrent tones
+            // 20 Hz apart would trip the detector's local-max
+            // suppression, the known §3 limit), while across cells
+            // the staggered index makes some same-color foreign cells
+            // sound *different* slots of the reused sub-band — the
+            // false-attribution case — and others the identical slot
+            // — the additive case.
+            let slot = c % plan.config().slots_per_switch;
+            dev.emit_slot(
+                &mut scene,
+                slot,
+                Duration::from_millis(700),
+                Duration::from_millis(150),
+            )
+            .expect("emit");
+            expected.insert((c, dev.name.clone(), slot));
         }
-        (scene, plan, expected)
-    })
+    }
+    (scene, plan, expected)
 }
 
 fn listen_with_threads(threads: usize) -> Vec<ShardEvent> {
     let (scene, plan, _) = emitted_scene();
+    listen(scene, plan, threads)
+}
+
+fn listen(
+    scene: &mdn_acoustics::scene::Scene,
+    plan: &CellPlan,
+    threads: usize,
+) -> Vec<ShardEvent> {
     let mut sharded = ShardedController::new(plan);
     sharded.set_threads(threads);
     sharded.calibrate(scene, Window::from_start(Duration::from_millis(500)));
@@ -124,6 +135,23 @@ fn hundred_twenty_switches_decode_with_reuse() {
     }
 }
 
+/// The scale-out sweep: at 1, 2, 4 and 8 cells, sequential and
+/// machine-parallel listening both decode every tone and attribute none
+/// to a cell that did not sound it.
+#[test]
+fn every_tone_decodes_at_one_to_eight_cells() {
+    for cells in [1, 2, 4, 8] {
+        let (scene, plan, expected) = emit_every_switch(plan_cells(cells));
+        for threads in [1, 0] {
+            let heard: BTreeSet<(usize, String, usize)> = listen(&scene, &plan, threads)
+                .iter()
+                .map(|e| (e.shard, e.event.device.clone(), e.event.slot))
+                .collect();
+            assert_eq!(heard, expected, "{cells} cells, {threads} threads");
+        }
+    }
+}
+
 /// Determinism: the merged stream is bit-identical whether the 20 cells
 /// are decoded by 1, 2, 3, 8, or 20 worker threads.
 #[test]
@@ -141,7 +169,7 @@ fn merged_stream_is_bit_identical_for_any_thread_count() {
 /// produces zero local attributions in every cell.
 #[test]
 fn planner_worst_case_verified_against_detector() {
-    plan_120().verify_reuse(SR).unwrap();
+    plan_cells(CELLS).verify_reuse(SR).unwrap();
 }
 
 /// Per-cell counters and the reuse-factor gauge flow through mdn-obs.

@@ -103,13 +103,20 @@ struct ScenarioOutcome {
 /// Run the chaos scenario: the spec's schedule over a drifting ambient
 /// bed, with the spec's fault script injected when `inject` is set.
 fn run_scenario(seed: u64, inject: bool) -> ScenarioOutcome {
-    let registry = mdn_obs::Registry::new();
     let mut spec = chaos_spec();
     spec.seed = seed;
     if !inject {
         spec.faults.clear();
     }
-    let builder = ScenarioBuilder::new(&spec).expect("chaos spec validates");
+    run_spec(&spec)
+}
+
+/// Run `spec`'s hall, schedule and fault script through the per-tick
+/// loop over a drifting ambient bed.
+fn run_spec(spec: &ScenarioSpec) -> ScenarioOutcome {
+    let registry = mdn_obs::Registry::new();
+    let seed = spec.seed;
+    let builder = ScenarioBuilder::new(spec).expect("chaos spec validates");
     let faults = builder.scene_faults().expect("fault script lowers");
     let base_ambient = builder.ambient().clone();
     let slot = spec.emissions.slot.expect("chaos schedule pins one slot");
@@ -180,7 +187,8 @@ fn run_scenario(seed: u64, inject: bool) -> ScenarioOutcome {
     for cell in loop_.plan().cells() {
         for (j, name) in cell.device_names.iter().enumerate() {
             out.final_homes.insert(name.clone(), cell.id);
-            if name.starts_with(&format!("c{DEAD_CELL}-")) && cell.id != DEAD_CELL {
+            // A switch hosted outside the cell its name encodes migrated.
+            if !name.starts_with(&format!("c{}-", cell.id)) {
                 out.migrated_freqs
                     .insert(name.clone(), cell.sets[j].freqs.clone());
             }
@@ -298,6 +306,48 @@ fn mic_kill_and_speaker_dropout_self_heal() {
         "availability {:.3} below the healed-run floor",
         out.availability
     );
+}
+
+/// The sweep over fault placements: the same spec with the dead mic
+/// rotated over every cell and the dropped speaker on the next cell
+/// over (`c{(dead+1)%4}-s0`), each under its own seed. Every rotation
+/// evacuates exactly the dead cell, stays above 85% availability,
+/// records an MTTR sample of at most two ticks for both migrants and
+/// the dropped speaker, and ends with every switch decoding.
+#[test]
+fn every_dead_cell_rotation_self_heals() {
+    let base = chaos_spec();
+    let cells = base.hall.cells;
+    for dead in 0..cells {
+        let dropped = format!("c{}-s0", (dead + 1) % cells);
+        let mut spec = base.clone();
+        spec.seed = SEED + dead as u64;
+        spec.faults[0].cell = Some(dead);
+        spec.faults[1].device = Some(dropped.clone());
+        let out = run_spec(&spec);
+
+        let evacuated: Vec<usize> = out.replans.iter().map(|&(_, c)| c).collect();
+        assert_eq!(evacuated, vec![dead], "dead cell {dead}: wrong evacuation");
+        assert!(
+            out.availability > 0.85,
+            "dead cell {dead}: availability {:.3}",
+            out.availability
+        );
+        let mut recovered: Vec<&str> = out.recoveries.keys().map(String::as_str).collect();
+        recovered.sort_unstable();
+        let mut want = vec![format!("c{dead}-s0"), format!("c{dead}-s1"), dropped];
+        want.sort_unstable();
+        assert_eq!(recovered, want, "dead cell {dead}: MTTR samples");
+        for (d, (_, took)) in &out.recoveries {
+            assert!(*took <= TICK * 2, "dead cell {dead}: {d} took {took:?}");
+        }
+        assert_eq!(
+            out.final_heard.len(),
+            cells * 2,
+            "dead cell {dead}: not every switch decodes after healing: {:?}",
+            out.final_heard
+        );
+    }
 }
 
 /// The obs registry is a second witness: the loop's counters, the health
