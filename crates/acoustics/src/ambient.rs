@@ -7,7 +7,7 @@
 //! runs the same detector against both.
 
 use mdn_audio::noise::{
-    band_noise_add, band_noise_psd, pink_noise_add, pink_noise_psd, white_noise_add,
+    band_noise_add, band_noise_psd_curve, pink_noise_add, pink_noise_psd, white_noise_add,
     white_noise_psd,
 };
 use mdn_audio::signal::{spl_to_amplitude, Signal, Window};
@@ -120,13 +120,16 @@ impl AmbientProfile {
             0.0
         };
         let pink_rms = self.pink_fraction * gain;
+        let rumble_psd = self
+            .rumble_band
+            .map(|(lo, hi, amp)| band_noise_psd_curve(amp * gain, lo, hi, sample_rate));
         let mut worst = 0.0f64;
         let bins = ((hi_hz - lo_hz) / bin_hz).floor() as usize + 1;
         for b in 0..bins {
             let f = lo_hz + b as f64 * bin_hz;
             let mut psd = white_psd + pink_noise_psd(pink_rms, f, sample_rate);
-            if let Some((lo, hi, amp)) = self.rumble_band {
-                psd += band_noise_psd(amp * gain, lo, hi, f, sample_rate);
+            if let Some(rumble_psd) = &rumble_psd {
+                psd += rumble_psd(f);
             }
             let mut mag = (2.0 * psd * bin_hz).sqrt();
             for &(line, amp) in &self.hum_lines {
@@ -261,6 +264,33 @@ mod tests {
             max_single = max_single.max(dc.bin_leakage(300.0 + slot as f64 * 20.0, 20.0, SR));
         }
         assert!((peak - max_single).abs() < 1e-12);
+    }
+
+    /// Building the rumble PSD curve once per query changes no value: the
+    /// leakage equals, bit for bit, the per-bin `band_noise_psd` sum.
+    #[test]
+    fn hoisted_rumble_curve_leaks_bit_for_bit_like_per_bin_psd() {
+        use mdn_audio::noise::band_noise_psd;
+        let dc = AmbientProfile::datacenter();
+        let gain = dc.mix_gain();
+        let (lo, hi, amp) = dc.rumble_band.unwrap();
+        let white = white_noise_psd((1.0 - dc.pink_fraction) * gain, SR);
+        let (lo_hz, bin_hz) = (150.0, 17.5);
+        let mut worst = 0.0f64;
+        for b in 0..60 {
+            let f = lo_hz + b as f64 * bin_hz;
+            let psd = white
+                + pink_noise_psd(dc.pink_fraction * gain, f, SR)
+                + band_noise_psd(amp * gain, lo, hi, f, SR);
+            let mut mag = (2.0 * psd * bin_hz).sqrt();
+            for &(line, a) in &dc.hum_lines {
+                let df = (f - line) / bin_hz;
+                mag += a * gain / (1.0 + df * df);
+            }
+            worst = worst.max(mag);
+        }
+        let hoisted = dc.peak_bin_leakage(lo_hz, lo_hz + 59.0 * bin_hz, bin_hz, SR);
+        assert_eq!(hoisted.to_bits(), worst.to_bits());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! adds its self-noise floor, applies a response band, and clips at full
 //! scale.
 
-use mdn_audio::noise::white_noise;
+use mdn_audio::noise::white_noise_add;
 use mdn_audio::resample::resample;
 use mdn_audio::signal::spl_to_amplitude;
 use mdn_audio::Signal;
@@ -66,24 +66,31 @@ impl Microphone {
     /// Capture a pressure signal: band-limit, resample to the ADC rate, add
     /// the self-noise floor, clip at full scale.
     pub fn capture(&self, pressure: &Signal) -> Signal {
-        let mut sig = band_limit(pressure, self.band.0, self.band.1);
-        sig = resample(&sig, self.sample_rate);
-        if !sig.is_empty() {
-            let floor = white_noise(
-                sig.duration(),
-                spl_to_amplitude(self.noise_floor_spl),
-                self.sample_rate,
-                self.noise_seed,
-            );
-            sig.mix_at(&floor, 0);
+        self.capture_owned(pressure.clone())
+    }
+
+    /// [`Microphone::capture`] on a signal the caller no longer needs:
+    /// every stage works in place on its buffer, and a new one is
+    /// allocated only when the ADC rate differs from the signal's.
+    pub fn capture_owned(&self, mut sig: Signal) -> Signal {
+        band_limit(&mut sig, self.band.0, self.band.1);
+        if sig.sample_rate() != self.sample_rate {
+            sig = resample(&sig, self.sample_rate);
         }
+        white_noise_add(
+            sig.samples_mut(),
+            0,
+            spl_to_amplitude(self.noise_floor_spl),
+            self.noise_seed,
+        );
         sig.clip();
         sig
     }
 }
 
-/// Band-limit a signal with cascaded one-pole high/low-pass filters.
-fn band_limit(signal: &Signal, lo_hz: f64, hi_hz: f64) -> Signal {
+/// Band-limit a signal in place with cascaded one-pole high/low-pass
+/// filters.
+fn band_limit(signal: &mut Signal, lo_hz: f64, hi_hz: f64) {
     let sr = signal.sample_rate() as f64;
     let dt = 1.0 / sr;
     let alpha = |fc: f64| {
@@ -94,14 +101,13 @@ fn band_limit(signal: &Signal, lo_hz: f64, hi_hz: f64) -> Signal {
     let a_hi = alpha(hi_hz.min(sr / 2.0 - 1.0));
     let mut lp_state = 0.0f64; // tracks low-frequency content (to subtract)
     let mut out_state = 0.0f64; // lowpass at the upper cutoff
-    let mut out = Vec::with_capacity(signal.len());
-    for &x in signal.samples() {
-        lp_state += a_lo * (x as f64 - lp_state);
-        let highpassed = x as f64 - lp_state;
+    for s in signal.samples_mut() {
+        let x = *s as f64;
+        lp_state += a_lo * (x - lp_state);
+        let highpassed = x - lp_state;
         out_state += a_hi * (highpassed - out_state);
-        out.push(out_state as f32);
+        *s = out_state as f32;
     }
-    Signal::from_samples(out, signal.sample_rate())
 }
 
 #[cfg(test)]
@@ -175,5 +181,70 @@ mod tests {
     fn empty_input_empty_output() {
         let mic = Microphone::cheap();
         assert!(mic.capture(&Signal::empty(SR)).is_empty());
+    }
+
+    /// The allocate-and-mix capture chain `capture_owned` replaced, kept
+    /// as the reference it must reproduce bit for bit.
+    fn reference_capture(mic: &Microphone, pressure: &Signal) -> Signal {
+        let sr = pressure.sample_rate() as f64;
+        let dt = 1.0 / sr;
+        let alpha = |fc: f64| {
+            let rc = 1.0 / (2.0 * std::f64::consts::PI * fc);
+            dt / (rc + dt)
+        };
+        let a_lo = alpha(mic.band.0.max(1.0));
+        let a_hi = alpha(mic.band.1.min(sr / 2.0 - 1.0));
+        let (mut lp_state, mut out_state) = (0.0f64, 0.0f64);
+        let mut limited = Vec::with_capacity(pressure.len());
+        for &x in pressure.samples() {
+            lp_state += a_lo * (x as f64 - lp_state);
+            let highpassed = x as f64 - lp_state;
+            out_state += a_hi * (highpassed - out_state);
+            limited.push(out_state as f32);
+        }
+        let limited = Signal::from_samples(limited, pressure.sample_rate());
+        let mut sig = resample(&limited, mic.sample_rate);
+        if !sig.is_empty() {
+            let floor = mdn_audio::noise::white_noise(
+                sig.duration(),
+                spl_to_amplitude(mic.noise_floor_spl),
+                mic.sample_rate,
+                mic.noise_seed,
+            );
+            sig.mix_at(&floor, 0);
+        }
+        sig.clip();
+        sig
+    }
+
+    fn bits(sig: &Signal) -> Vec<u32> {
+        sig.samples().iter().map(|s| s.to_bits()).collect()
+    }
+
+    #[test]
+    fn in_place_capture_matches_the_allocating_chain_bit_for_bit() {
+        // A tone over a broadband bed, loud enough in places to clip.
+        let mut pressure = tone(1000.0, 237, 70.0);
+        pressure.mix_at(
+            &mdn_audio::noise::pink_noise(Duration::from_millis(237), 0.2, SR, 3),
+            0,
+        );
+        pressure.mix_at(&tone(300.0, 40, 125.0), 2000);
+        // Equal rates (no resample), downsampling and upsampling.
+        for mic in [
+            Microphone::measurement(),
+            Microphone::cheap(),
+            Microphone::ultrasound(),
+        ] {
+            let want = reference_capture(&mic, &pressure);
+            let got = mic.capture_owned(pressure.clone());
+            assert_eq!(got.sample_rate(), want.sample_rate(), "{}", mic.name);
+            assert_eq!(bits(&got), bits(&want), "{} diverged", mic.name);
+            assert_eq!(bits(&mic.capture(&pressure)), bits(&want), "{}", mic.name);
+            let empty = mic.capture_owned(Signal::empty(SR));
+            let want_empty = reference_capture(&mic, &Signal::empty(SR));
+            assert!(empty.is_empty() && want_empty.is_empty(), "{}", mic.name);
+            assert_eq!(empty.sample_rate(), want_empty.sample_rate());
+        }
     }
 }

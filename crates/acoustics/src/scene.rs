@@ -24,7 +24,7 @@ use mdn_audio::noise::white_noise_add;
 use mdn_audio::signal::{duration_to_samples, spl_to_amplitude, Window};
 use mdn_audio::Signal;
 use mdn_obs::{Counter, Histogram, Registry, SpanKind, TraceId, TraceSink, TraceSpan};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// Registry handles for a [`Scene`]'s counters; disabled by default.
@@ -37,6 +37,7 @@ struct SceneObs {
     degraded_emissions: Counter,
     noise_bursts: Counter,
     mic_dead_windows: Counter,
+    ambient_renders: Counter,
     render_span: Histogram,
 }
 
@@ -118,6 +119,20 @@ impl EmissionIndex {
     }
 }
 
+/// The last ambient bed a [`Scene`] synthesized, keyed by its absolute
+/// sample range `(a, b)`. The bed does not depend on the listener, so every
+/// cell observing the same window copies one synthesis instead of redoing
+/// it. `(0, 0)` never matches: empty windows return before the lookup.
+/// A clone starts empty — the cache is scratch, not scene state.
+#[derive(Debug, Default)]
+struct BedCache(Mutex<(usize, usize, Vec<f32>)>);
+
+impl Clone for BedCache {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
 /// A collection of emissions over a shared timeline, with an ambient bed.
 #[derive(Debug, Clone)]
 pub struct Scene {
@@ -128,6 +143,7 @@ pub struct Scene {
     faults: Option<SceneFaultPlan>,
     render_threads: usize,
     index: OnceLock<EmissionIndex>,
+    bed: BedCache,
     obs: SceneObs,
     trace: TraceSink,
     /// A trace armed by [`Scene::set_next_emission_trace`], consumed by
@@ -147,6 +163,7 @@ impl Scene {
             faults: None,
             render_threads: 0,
             index: OnceLock::new(),
+            bed: BedCache::default(),
             obs: SceneObs::default(),
             trace: TraceSink::disabled(),
             pending_trace: None,
@@ -157,9 +174,10 @@ impl Scene {
     /// `mdn_scene_emissions_total`, fault-activation counters
     /// (`mdn_scene_muted_emissions_total`,
     /// `mdn_scene_degraded_emissions_total`, `mdn_scene_noise_bursts_total`,
-    /// `mdn_scene_mic_dead_windows_total`), and the
-    /// `mdn_stage_ns{stage="scene.render"}` span. Emissions already
-    /// scheduled are carried over.
+    /// `mdn_scene_mic_dead_windows_total`), the ambient-bed syntheses
+    /// (`mdn_scene_ambient_renders_total`, one per distinct window, not per
+    /// listener), and the `mdn_stage_ns{stage="scene.render"}` span.
+    /// Emissions already scheduled are carried over.
     pub fn attach_obs(&mut self, registry: &Registry) {
         self.obs = SceneObs {
             emissions: registry.counter("mdn_scene_emissions_total", &[]),
@@ -167,6 +185,7 @@ impl Scene {
             degraded_emissions: registry.counter("mdn_scene_degraded_emissions_total", &[]),
             noise_bursts: registry.counter("mdn_scene_noise_bursts_total", &[]),
             mic_dead_windows: registry.counter("mdn_scene_mic_dead_windows_total", &[]),
+            ambient_renders: registry.counter("mdn_scene_ambient_renders_total", &[]),
             render_span: registry.stage_histogram("scene.render"),
         };
         self.obs.emissions.add(self.emissions.len() as u64);
@@ -202,6 +221,7 @@ impl Scene {
     /// Replace the ambient noise seed (defaults to 0).
     pub fn set_ambient_seed(&mut self, seed: u64) {
         self.ambient_seed = seed;
+        self.bed = BedCache::default();
     }
 
     /// Worker threads for rendering: `0` (the default) sizes from the
@@ -428,12 +448,7 @@ impl Scene {
         if a == b {
             return;
         }
-        self.ambient.render_into(
-            out.samples_mut(),
-            a as u64,
-            self.sample_rate,
-            self.ambient_seed,
-        );
+        self.copy_bed(a, b, out.samples_mut());
         let placed = self.place_in_window(listener, w);
         self.mix_placed(&placed, a, out);
         if let Some(plan) = &self.faults {
@@ -468,6 +483,31 @@ impl Scene {
                 }
             }
         }
+    }
+
+    /// Copy the ambient bed for samples `[a, b)` into `out`, synthesizing
+    /// it only when the cached bed covers a different range. The bed is
+    /// rendered onto zeros exactly as a direct `render_into` on the reset
+    /// output would be, so the copy is bit-for-bit the same. The lock is
+    /// held across the synthesis: concurrent listeners of one window wait
+    /// for the first and then copy, so each window is synthesized once.
+    ///
+    /// The key is cleared before the samples change and set only once they
+    /// are complete, so a synthesis that panicked leaves an entry that
+    /// matches nothing, and a poisoned lock can be taken over as is.
+    fn copy_bed(&self, a: usize, b: usize, out: &mut [f32]) {
+        let mut bed = self.bed.0.lock().unwrap_or_else(PoisonError::into_inner);
+        let (ca, cb, samples) = &mut *bed;
+        if (*ca, *cb) != (a, b) {
+            (*ca, *cb) = (0, 0);
+            samples.clear();
+            samples.resize(b - a, 0.0);
+            self.ambient
+                .render_into(samples, a as u64, self.sample_rate, self.ambient_seed);
+            (*ca, *cb) = (a, b);
+            self.obs.ambient_renders.inc();
+        }
+        out.copy_from_slice(samples);
     }
 
     /// Render window `w` of the pressure signal an ideal listener at
@@ -506,7 +546,7 @@ impl Scene {
     /// floor, clipping) — the one capture implementation everything
     /// (controller ticks included) goes through.
     pub fn capture(&self, mic: &Microphone, at: Pos, w: Window) -> Signal {
-        mic.capture(&self.render_window(at, w))
+        mic.capture_owned(self.render_window(at, w))
     }
 
     /// Worst-case peak amplitude this scene's emissions can present at
@@ -918,6 +958,117 @@ mod tests {
                 "window {from}+{len} ms diverged from the full render"
             );
         }
+    }
+
+    fn bits(sig: &Signal) -> Vec<u32> {
+        sig.samples().iter().map(|s| s.to_bits()).collect()
+    }
+
+    /// The shared ambient bed is invisible in the output: a scene that has
+    /// already rendered other windows — and other listeners of the same
+    /// window — renders each window exactly as a fresh scene does.
+    #[test]
+    fn shared_bed_renders_match_a_fresh_scene() {
+        let listeners = [
+            Pos::new(0.9, -0.3, 0.2),
+            Pos::new(3.0, 1.0, 0.0),
+            Pos::ORIGIN,
+        ];
+        let windows = [
+            win(400, 300),
+            // Same start, longer: an observe window after a calibration one.
+            win(400, 450),
+            // Pre-roll clamped at scene start.
+            win(0, 300),
+            win(400, 300),
+            win(500, 0),
+            // Long enough to mix on several render threads.
+            win(100, 3000),
+        ];
+        let fresh = |l: Pos, w: Window| bits(&busy_scene().render_window(l, w));
+        for threads in [0usize, 1, 4] {
+            let mut scene = busy_scene();
+            scene.set_render_threads(threads);
+            for &w in &windows {
+                for &l in &listeners {
+                    assert_eq!(
+                        bits(&scene.render_window(l, w)),
+                        fresh(l, w),
+                        "threads={threads} window {w:?} listener {l:?}"
+                    );
+                }
+            }
+        }
+
+        // Re-seeding drops the cached bed; a clone starts without one.
+        let reseeded = || {
+            let mut s = busy_scene();
+            s.set_ambient_seed(12);
+            s
+        };
+        let l = listeners[0];
+        let mut scene = busy_scene();
+        scene.render_window(l, windows[0]);
+        scene.set_ambient_seed(12);
+        let want = |w: Window| bits(&reseeded().render_window(l, w));
+        assert_eq!(bits(&scene.render_window(l, windows[0])), want(windows[0]));
+        let cloned = scene.clone();
+        for w in [windows[0], windows[1]] {
+            assert_eq!(bits(&cloned.render_window(l, w)), want(w), "clone, {w:?}");
+        }
+    }
+
+    /// With no emissions and no faults a render is the bed alone, and the
+    /// bed is the ambient profile's own window render — cached or not.
+    #[test]
+    fn render_without_emissions_is_the_ambient_window() {
+        let ambient = crate::ambient::AmbientProfile::datacenter();
+        let mut scene = Scene::new(SR, ambient.clone());
+        scene.set_ambient_seed(5);
+        for w in [win(0, 200), win(130, 70), win(130, 70), win(0, 200)] {
+            let want = bits(&ambient.render_window(w, SR, 5));
+            for l in [Pos::ORIGIN, Pos::new(4.0, 2.0, 1.0)] {
+                assert_eq!(bits(&scene.render_window(l, w)), want, "window {w:?}");
+            }
+        }
+    }
+
+    /// Listeners of one window share one bed synthesis, also when they
+    /// render concurrently; a new window synthesizes a new one.
+    #[test]
+    fn one_bed_synthesis_per_distinct_window() {
+        let registry = Registry::new();
+        let mut scene = busy_scene();
+        scene.attach_obs(&registry);
+        let listeners: Vec<Pos> = (0..8).map(|i| Pos::new(0.5 * i as f64, 0.3, 0.0)).collect();
+        let renders = || registry.snapshot().counters["mdn_scene_ambient_renders_total"];
+        let windows = [win(0, 300), win(150, 450), win(0, 300)];
+        for (k, w) in windows.into_iter().enumerate() {
+            let want: Vec<Vec<u32>> = listeners
+                .iter()
+                .map(|&l| bits(&busy_scene().render_window(l, w)))
+                .collect();
+            let scene = &scene;
+            // Every listener reaches the render together.
+            let start = &std::sync::Barrier::new(listeners.len());
+            let got: Vec<Vec<u32>> = std::thread::scope(|s| {
+                let handles: Vec<_> = listeners
+                    .iter()
+                    .map(|&l| {
+                        s.spawn(move || {
+                            start.wait();
+                            bits(&scene.render_window(l, w))
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert_eq!(got, want, "window {w:?}");
+            assert_eq!(renders(), k as u64 + 1, "one synthesis per window change");
+        }
+        // An empty window needs no bed.
+        scene.render_window(Pos::ORIGIN, win(300, 0));
+        assert_eq!(renders(), 3);
     }
 
     #[test]

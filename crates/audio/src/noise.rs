@@ -197,15 +197,30 @@ pub fn pink_noise_psd(rms: f64, freq_hz: f64, sample_rate: u32) -> f64 {
 /// `|H|⁴` response, normalized by the same analytic gain the generator
 /// calibrates with. Integrates back to `rms²` over the Nyquist band.
 pub fn band_noise_psd(rms: f64, lo_hz: f64, hi_hz: f64, freq_hz: f64, sample_rate: u32) -> f64 {
+    band_noise_psd_curve(rms, lo_hz, hi_hz, sample_rate)(freq_hz)
+}
+
+/// [`band_noise_psd`] as a function of frequency alone: the band's
+/// calibration gain (a 4096-point quadrature) is computed once here, not
+/// once per evaluated frequency, and each evaluation returns exactly what
+/// [`band_noise_psd`] returns for it.
+pub fn band_noise_psd_curve(
+    rms: f64,
+    lo_hz: f64,
+    hi_hz: f64,
+    sample_rate: u32,
+) -> impl Fn(f64) -> f64 {
     assert!(hi_hz > lo_hz && lo_hz > 0.0, "bad band {lo_hz}..{hi_hz}");
     let a_hi = one_pole_alpha(hi_hz, sample_rate);
     let a_lo = one_pole_alpha(lo_hz, sample_rate);
     let g = band_gain_rms(a_hi, a_lo); // √(mean |H_hi − H_lo|⁴)
-    let w = std::f64::consts::TAU * freq_hz / sample_rate as f64;
-    let (hr, hi) = one_pole_response(a_hi, w);
-    let (lr, li) = one_pole_response(a_lo, w);
-    let mag_sq = (hr - lr) * (hr - lr) + (hi - li) * (hi - li);
-    rms * rms * (mag_sq * mag_sq) / (g * g) / (sample_rate as f64 / 2.0)
+    move |freq_hz| {
+        let w = std::f64::consts::TAU * freq_hz / sample_rate as f64;
+        let (hr, hi) = one_pole_response(a_hi, w);
+        let (lr, li) = one_pole_response(a_lo, w);
+        let mag_sq = (hr - lr) * (hr - lr) + (hi - li) * (hi - li);
+        rms * rms * (mag_sq * mag_sq) / (g * g) / (sample_rate as f64 / 2.0)
+    }
 }
 
 /// Band-noise block grid: the IIR filter state is re-derived per absolute

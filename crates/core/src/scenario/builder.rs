@@ -9,7 +9,7 @@
 //! [`UnifiedLoop`] that drives all of it — the setup the soak bench, the
 //! chaos/equivalence tests and the obs examples used to each hand-roll.
 
-use super::spec::{HallSpec, ScenarioError, ScenarioSpec};
+use super::spec::{FaultSpec, HallSpec, ScenarioError, ScenarioSpec};
 use crate::cells::CellPlan;
 use crate::eventloop::UnifiedLoop;
 use crate::ofbridge::OfAgent;
@@ -89,6 +89,18 @@ fn ambient_profile(hall: &HallSpec) -> Result<AmbientProfile, ScenarioError> {
     Ok(profile)
 }
 
+/// A structural error in fault `i`, reported at its `faults[i]` path.
+fn fault_invalid(i: usize, reason: &str) -> ScenarioError {
+    ScenarioError::invalid(format!("faults[{i}]"), reason)
+}
+
+/// The target device of speaker fault `i`.
+fn fault_device(i: usize, f: &FaultSpec) -> Result<String, ScenarioError> {
+    f.device
+        .clone()
+        .ok_or_else(|| fault_invalid(i, "speaker faults need a `device` name"))
+}
+
 impl ScenarioBuilder {
     /// Validate `spec` and run the cell planner. This is the full
     /// rejection gate: anything that returns `Ok` here can be built.
@@ -152,7 +164,7 @@ impl ScenarioBuilder {
     pub fn scene_faults(&self) -> Result<SceneFaultPlan, ScenarioError> {
         let total = self.spec.total();
         let mut faults = SceneFaultPlan::new(self.spec.seed);
-        for f in &self.spec.faults {
+        for (i, f) in self.spec.faults.iter().enumerate() {
             let from = MS(f.at_ms);
             let until = f.until_ms.map(MS).unwrap_or(total);
             let window = Window::between(from, until);
@@ -162,11 +174,10 @@ impl ScenarioBuilder {
                     faults = faults.mic_dead_at(self.plan.cells()[cell].mic_pos, f.radius_m, window);
                 }
                 "speaker_dropout" => {
-                    let dev = f.device.clone().expect("validated");
-                    faults = faults.speaker_dropout(dev, window);
+                    faults = faults.speaker_dropout(fault_device(i, f)?, window);
                 }
                 "speaker_degraded" => {
-                    let dev = f.device.clone().expect("validated");
+                    let dev = fault_device(i, f)?;
                     faults = faults.speaker_degraded(dev, window, f.level_db.unwrap_or(0.0));
                 }
                 "noise_burst" => {
@@ -364,17 +375,22 @@ impl ScenarioBuilder {
                 // inbound traffic picks its spine at the source leaf, so
                 // flapping one member link would usually carry no traffic
                 // at all: a scripted flap takes the whole bundle down.
-                for f in spec.faults.iter().filter(|f| f.kind == "link_flap") {
-                    let leaf = f.leaf.expect("validated");
+                for (i, f) in spec.faults.iter().enumerate() {
+                    if f.kind != "link_flap" {
+                        continue;
+                    }
+                    let leaf = f
+                        .leaf
+                        .ok_or_else(|| fault_invalid(i, "link_flap needs a `leaf` index"))?;
+                    let until = f.until_ms.ok_or_else(|| {
+                        fault_invalid(i, "link_flap needs `until_ms` (when the bundle comes back)")
+                    })?;
                     for &up in &uplinks {
                         let link = net
                             .link_at(topo.leaves[leaf], up)
                             .expect("uplink wired");
                         scripted.push((MS(f.at_ms), NetFault::LinkDown(link)));
-                        scripted.push((
-                            MS(f.until_ms.expect("validated")),
-                            NetFault::LinkUp(link),
-                        ));
+                        scripted.push((MS(until), NetFault::LinkUp(link)));
                     }
                 }
             }

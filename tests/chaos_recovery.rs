@@ -443,6 +443,7 @@ fn json_snapshot_covers_every_layer() {
         "mdn_mp_sent_total",
         "mdn_mp_retransmitted_total",
         "mdn_scene_emissions_total",
+        "mdn_scene_ambient_renders_total",
         "mdn_net_delivered",
         "mdn_queue_accepted",
         "mdn_link_utilization",

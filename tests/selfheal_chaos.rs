@@ -470,4 +470,14 @@ fn one_render_and_one_analysis_per_cell_window() {
         let count = snap.histograms[&format!("mdn_stage_ns{{stage=\"{stage}\"}}")].count;
         assert_eq!(count, pairs, "{stage} ran {count} times for {pairs} cell-windows");
     }
+    // One ambient bed per window: every live cell observes the same
+    // pre-rolled span, and the bed does not depend on the listener, so the
+    // 52 renders share 15 syntheses — one per window, each window's span
+    // distinct from the last (window 0's pre-roll clamps at t = 0, the
+    // others start 150 ms before their window).
+    assert_eq!(out.windows.len(), 15);
+    assert_eq!(
+        snap.counters["mdn_scene_ambient_renders_total"], 15,
+        "one bed synthesis per window"
+    );
 }
