@@ -28,8 +28,8 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// Registry handles for a [`Scene`]'s counters; disabled by default.
-/// Updates happen from `&self` render paths (including scoped worker
-/// threads), which the atomic handles make safe.
+/// Updates happen from `&self` render paths, possibly on several shard
+/// workers at once, which the atomic handles make safe.
 #[derive(Debug, Clone, Default)]
 struct SceneObs {
     emissions: Counter,
@@ -53,10 +53,6 @@ pub struct Emission {
     /// Label for debugging/tracing (e.g. "switch-3").
     pub label: String,
 }
-
-/// Samples-per-thread floor for parallel rendering: below this much output
-/// per worker, spawning threads costs more than the mixing saves.
-const MIN_SAMPLES_PER_THREAD: usize = 1 << 16;
 
 /// Start-sorted interval index over a scene's emissions, built lazily on
 /// first render and invalidated by [`Scene::add`]. `prefix_max_end[k]`
@@ -141,7 +137,6 @@ pub struct Scene {
     ambient: AmbientProfile,
     ambient_seed: u64,
     faults: Option<SceneFaultPlan>,
-    render_threads: usize,
     index: OnceLock<EmissionIndex>,
     bed: BedCache,
     obs: SceneObs,
@@ -161,7 +156,6 @@ impl Scene {
             ambient,
             ambient_seed: 0,
             faults: None,
-            render_threads: 0,
             index: OnceLock::new(),
             bed: BedCache::default(),
             obs: SceneObs::default(),
@@ -222,15 +216,6 @@ impl Scene {
     pub fn set_ambient_seed(&mut self, seed: u64) {
         self.ambient_seed = seed;
         self.bed = BedCache::default();
-    }
-
-    /// Worker threads for rendering: `0` (the default) sizes from the
-    /// machine's available parallelism, `1` forces sequential rendering,
-    /// `n` caps at `n`. The rendered samples are byte-identical for every
-    /// setting — workers own disjoint ranges of the output and mix
-    /// emissions into each range in emission order.
-    pub fn set_render_threads(&mut self, threads: usize) {
-        self.render_threads = threads;
     }
 
     /// Attach (or replace) an acoustic fault plan. Faults apply at render
@@ -325,18 +310,6 @@ impl Scene {
         retired
     }
 
-    /// Worker threads for rendering `total_len` output samples.
-    fn render_workers(&self, total_len: usize) -> usize {
-        let requested = if self.render_threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.render_threads
-        };
-        requested
-            .min(total_len.div_ceil(MIN_SAMPLES_PER_THREAD))
-            .max(1)
-    }
-
     /// Placement pass for window `w`: `(emission index, spreading gain,
     /// absolute start sample)` for every emission whose delayed sample
     /// range overlaps the window's. The interval index prunes the scan to
@@ -390,42 +363,26 @@ impl Scene {
     }
 
     /// Mix placed emissions into `out`, whose first sample sits at
-    /// absolute scene sample `range0`, in parallel across disjoint output
-    /// ranges.
+    /// absolute scene sample `range0`.
     ///
     /// Each output sample accumulates its emissions in emission order with
     /// the same per-sample arithmetic as `Signal::scaled` + `Signal::mix_at`
     /// (`out[i] += (src as f64 * gain) as f32`), so the result is
-    /// byte-identical for any thread count and any window split.
-    fn mix_placed(&self, placed: &[(usize, f64, usize)], range0: usize, out: &mut Signal) {
-        let total_len = out.len();
-        let threads = self.render_workers(total_len);
-        let mix_range = |range_start: usize, dst: &mut [f32]| {
-            let range_end = range_start + dst.len();
-            for &(ei, gain, offset) in placed {
-                let src = self.emissions[ei].signal.samples();
-                let begin = offset.max(range_start);
-                let end = (offset + src.len()).min(range_end);
-                if begin >= end {
-                    continue;
-                }
-                let src = &src[begin - offset..end - offset];
-                let dst = &mut dst[begin - range_start..end - range_start];
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d += (s as f64 * gain) as f32;
-                }
+    /// byte-identical for any window split.
+    fn mix_placed(&self, placed: &[(usize, f64, usize)], range0: usize, out: &mut [f32]) {
+        let range_end = range0 + out.len();
+        for &(ei, gain, offset) in placed {
+            let src = self.emissions[ei].signal.samples();
+            let begin = offset.max(range0);
+            let end = (offset + src.len()).min(range_end);
+            if begin >= end {
+                continue;
             }
-        };
-        if threads <= 1 {
-            mix_range(range0, out.samples_mut());
-        } else {
-            let per = total_len.div_ceil(threads);
-            let mix_range = &mix_range;
-            std::thread::scope(|s| {
-                for (t, dst) in out.samples_mut().chunks_mut(per).enumerate() {
-                    s.spawn(move || mix_range(range0 + t * per, dst));
-                }
-            });
+            let src = &src[begin - offset..end - offset];
+            let dst = &mut out[begin - range0..end - range0];
+            for (d, &s) in dst.iter_mut().zip(src) {
+                *d += (s as f64 * gain) as f32;
+            }
         }
     }
 
@@ -450,7 +407,7 @@ impl Scene {
         }
         self.copy_bed(a, b, out.samples_mut());
         let placed = self.place_in_window(listener, w);
-        self.mix_placed(&placed, a, out);
+        self.mix_placed(&placed, a, out.samples_mut());
         if let Some(plan) = &self.faults {
             for (i, (win, level_db)) in plan.noise_bursts().iter().enumerate() {
                 if win.from >= w.end() || win.end() <= w.from {
@@ -515,9 +472,8 @@ impl Scene {
     /// delayed by propagation, plus the ambient bed, with any fault plan
     /// applied — all clipped to the window.
     ///
-    /// Long windows are mixed in parallel ([`Scene::set_render_threads`]);
-    /// the output is byte-identical for any thread count and equals the
-    /// `[w.from, w.end())` span of `render_at(listener, w.end())` exactly.
+    /// The output equals the `[w.from, w.end())` span of
+    /// `render_at(listener, w.end())` exactly.
     pub fn render_window(&self, listener: Pos, w: Window) -> Signal {
         let mut out = Signal::empty(self.sample_rate);
         self.render_window_into(listener, w, &mut out);
@@ -982,21 +938,17 @@ mod tests {
             win(0, 300),
             win(400, 300),
             win(500, 0),
-            // Long enough to mix on several render threads.
             win(100, 3000),
         ];
         let fresh = |l: Pos, w: Window| bits(&busy_scene().render_window(l, w));
-        for threads in [0usize, 1, 4] {
-            let mut scene = busy_scene();
-            scene.set_render_threads(threads);
-            for &w in &windows {
-                for &l in &listeners {
-                    assert_eq!(
-                        bits(&scene.render_window(l, w)),
-                        fresh(l, w),
-                        "threads={threads} window {w:?} listener {l:?}"
-                    );
-                }
+        let scene = busy_scene();
+        for &w in &windows {
+            for &l in &listeners {
+                assert_eq!(
+                    bits(&scene.render_window(l, w)),
+                    fresh(l, w),
+                    "window {w:?} listener {l:?}"
+                );
             }
         }
 
@@ -1090,32 +1042,6 @@ mod tests {
         let w = win(230, 71);
         let (a, b) = w.sample_range(SR);
         assert_eq!(again.samples(), &batch.samples()[a..b]);
-    }
-
-    #[test]
-    fn parallel_render_is_byte_identical_to_sequential() {
-        // Several overlapping emissions at different distances (distinct
-        // gains and delays), long enough to clear the per-thread floor.
-        let mut scene = Scene::quiet(SR);
-        for i in 0..6 {
-            scene.add(
-                Pos::new(0.3 * (i + 1) as f64, 0.2, 0.0),
-                Duration::from_millis(150 * i as u64),
-                tone(500.0 + 120.0 * i as f64, 900, 60.0),
-                format!("sw-{i}"),
-            );
-        }
-        let listener = Pos::new(0.7, -0.4, 0.1);
-        let dur = Duration::from_secs(3);
-        let mut seq = scene.clone();
-        seq.set_render_threads(1);
-        let baseline = seq.render_at(listener, dur);
-        for threads in [0usize, 2, 3, 8] {
-            let mut par = scene.clone();
-            par.set_render_threads(threads);
-            let rendered = par.render_at(listener, dur);
-            assert_eq!(rendered.samples(), baseline.samples(), "threads={threads}");
-        }
     }
 
     #[test]

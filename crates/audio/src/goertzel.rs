@@ -86,7 +86,7 @@ pub fn magnitudes_at(signal: &Signal, freqs_hz: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Reusable recurrence state for [`GoertzelBank`]; one per worker thread.
+/// Reusable recurrence state for [`GoertzelBank`]; one per frame loop.
 ///
 /// Holding the state outside the bank keeps the bank shareable (`&self`)
 /// across threads while the per-call scratch is reused allocation-free.

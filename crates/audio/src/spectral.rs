@@ -11,8 +11,8 @@ use crate::window::WindowKind;
 
 /// Reusable buffers for [`Spectrum::compute_into`]: the windowed frame, the
 /// complex FFT buffer, and the window coefficients (cached per
-/// kind × length, which a frame loop hits every time). One per worker
-/// thread; after the first frame the spectral hot path allocates nothing.
+/// kind × length, which a frame loop hits every time). One per frame
+/// loop; after the first frame the spectral hot path allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct SpectrumScratch {
     frame: Vec<f32>,

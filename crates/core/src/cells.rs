@@ -23,12 +23,13 @@
 //! pipeline and fails if a single foreign tone is attributed locally.
 //!
 //! The [`ShardedController`] owns one [`MdnController`] + microphone per
-//! cell, renders/detects cells in parallel with `std::thread::scope`
-//! (mirroring `Scene::render_window`: pre-sized per-cell output slots, so
-//! the merged stream is bit-identical for any thread count), and merges
-//! per-cell observations into one [`ShardEvent`] stream. Captures go
-//! through the windowed render path, so each listening tick costs
-//! O(window) regardless of elapsed scene time.
+//! cell, renders/detects cells in parallel on scoped worker threads
+//! (pre-sized per-cell output slots, so the merged stream is bit-identical
+//! for any thread count), and merges per-cell observations into one
+//! [`ShardEvent`] stream. Cells are the workspace's one parallel unit:
+//! each cell's render and detection run sequentially inside its worker.
+//! Captures go through the windowed render path, so each listening tick
+//! costs O(window) regardless of elapsed scene time.
 
 use crate::controller::{merge_event_streams, CellObservation, MdnController};
 pub use crate::controller::{CellId, ShardEvent};

@@ -7,7 +7,7 @@
 //!
 //! * [`registry`] — a lock-free metrics [`Registry`]: atomic counters,
 //!   gauges and fixed-bucket log₂ latency histograms. Handles are cheap
-//!   `Arc` clones, safe to update from `std::thread::scope` workers, and
+//!   `Arc` clones, safe to update from concurrent shard workers, and
 //!   carry a no-op *disabled* mode so an uninstrumented hot path pays
 //!   nothing (not even a clock read).
 //! * [`span`] — lightweight span guards ([`span!`]) that record per-stage

@@ -15,7 +15,7 @@
 //! Spans land in a [`TraceSink`]: a bounded ring with a drop counter,
 //! mirroring [`Journal`](crate::journal::Journal)'s inert-by-default
 //! handle pattern — a disabled sink costs one branch per hop, safe to
-//! leave wired through `std::thread::scope` hot paths. The retained tail
+//! leave wired through multi-threaded hot paths. The retained tail
 //! exports as Chrome trace-event JSON ([`TraceSink::to_chrome_json`]),
 //! loadable in Perfetto / `chrome://tracing`, with one async
 //! begin/end pair per span keyed by the trace id so concurrent tones

@@ -4,9 +4,11 @@
 //! `scenarios/` (the CI matrix) parses, validates, and plans.
 
 use mdn_core::scenario::{
-    AppSpec, EmissionSpec, EmitSpec, ExpectSpec, FaultSpec, ScenarioBuilder, ScenarioError,
+    run, AppSpec, EmissionSpec, EmitSpec, ExpectSpec, FaultSpec, ScenarioBuilder, ScenarioError,
     ScenarioSpec, TrafficSpec,
 };
+use mdn_obs::Registry;
+use proptest::prelude::*;
 
 /// A spec that strays from the defaults in every block, so the
 /// round-trip exercises the whole tree, not just the overlay's no-op
@@ -303,4 +305,185 @@ fn all_checked_in_scenarios_parse_validate_and_plan() {
         seen += 1;
     }
     assert!(seen >= 8, "scenario matrix shrank to {seen} specs");
+}
+
+/// One structure-aware edit of a checked-in spec, aimed at the edges
+/// `validate` has to police.
+#[derive(Debug, Clone)]
+enum Edit {
+    /// Move fault `fault` (modulo the fault count) to `at`, lifting at
+    /// `until` (`None` = never).
+    FaultTimes {
+        fault: usize,
+        at: Edge,
+        until: Option<Edge>,
+    },
+    /// Insert a fault of `FAULT_KINDS[kind]` at `at`, lifting at `until`.
+    Insert {
+        kind: usize,
+        at: Edge,
+        until: Option<Edge>,
+    },
+    /// Shrink the hall to one cell.
+    OneCell,
+    /// Set `selfheal.threads`.
+    Threads(usize),
+}
+
+/// A fault time at one of the horizon's edges.
+#[derive(Debug, Clone, Copy)]
+enum Edge {
+    Zero,
+    LastMs,
+    Horizon,
+}
+
+impl Edge {
+    fn ms(self, horizon: u64) -> u64 {
+        match self {
+            Edge::Zero => 0,
+            Edge::LastMs => horizon - 1,
+            Edge::Horizon => horizon,
+        }
+    }
+}
+
+const FAULT_KINDS: [&str; 6] = [
+    "mic_dead",
+    "speaker_dropout",
+    "speaker_degraded",
+    "noise_burst",
+    "music",
+    "link_flap",
+];
+
+fn edge() -> impl Strategy<Value = Edge> {
+    prop_oneof![Just(Edge::Zero), Just(Edge::LastMs), Just(Edge::Horizon)]
+}
+
+fn edit() -> impl Strategy<Value = Edit> {
+    prop_oneof![
+        (0usize..4, edge(), prop::option::of(edge()))
+            .prop_map(|(fault, at, until)| Edit::FaultTimes { fault, at, until }),
+        (0usize..FAULT_KINDS.len(), edge(), prop::option::of(edge()))
+            .prop_map(|(kind, at, until)| Edit::Insert { kind, at, until }),
+        Just(Edit::OneCell),
+        prop_oneof![Just(0usize), Just(1), Just(4)].prop_map(Edit::Threads),
+    ]
+}
+
+/// The checked-in specs, cut to at most 4 windows, 4 cells, a 2 × 4
+/// leaf-spine fabric and a 20 ms controller linger, so a debug build runs
+/// each in well under a second.
+/// Fault, app and cell references are pulled inside the cut, so the cut
+/// spec still validates and every edit starts from a runnable spec.
+fn cut_specs() -> Vec<(String, ScenarioSpec)> {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .expect("scenarios/ exists")
+        .map(|e| e.expect("read scenarios/").path())
+        .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("json"))
+        .collect();
+    paths.sort();
+    paths
+        .into_iter()
+        .map(|path| {
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            let mut spec = ScenarioSpec::load(path.to_str().unwrap()).expect("spec parses");
+            spec.windows = spec.windows.min(4);
+            spec.hall.cells = spec.hall.cells.min(4);
+            spec.traffic.spines = spec.traffic.spines.min(2);
+            spec.traffic.leaves = spec.traffic.leaves.min(4);
+            spec.output = Default::default();
+            spec.controller.linger_ms = spec.controller.linger_ms.min(20);
+            let horizon = spec.window_ms * spec.windows;
+            for f in &mut spec.faults {
+                f.at_ms = f.at_ms.min(horizon - 1);
+                f.until_ms = f.until_ms.map(|u| u.min(horizon));
+                f.cell = f.cell.map(|c| c.min(spec.hall.cells - 1));
+                f.leaf = f.leaf.map(|l| l.min(spec.traffic.leaves - 1));
+            }
+            spec.apps.retain(|a| a.at_ms < horizon);
+            spec.validate()
+                .unwrap_or_else(|e| panic!("{name} cut to size no longer validates: {e}"));
+            (name, spec)
+        })
+        .collect()
+}
+
+fn apply(spec: &mut ScenarioSpec, edit: &Edit) {
+    let horizon = spec.window_ms * spec.windows;
+    match *edit {
+        Edit::FaultTimes { fault, at, until } => {
+            let n = spec.faults.len();
+            if let Some(f) = spec.faults.get_mut(fault % n.max(1)) {
+                f.at_ms = at.ms(horizon);
+                f.until_ms = until.map(|u| u.ms(horizon));
+            }
+        }
+        Edit::Insert { kind, at, until } => spec.faults.push(FaultSpec {
+            kind: FAULT_KINDS[kind].into(),
+            at_ms: at.ms(horizon),
+            until_ms: until.map(|u| u.ms(horizon)),
+            cell: Some(0),
+            device: Some("c0-s0".into()),
+            level_db: Some(20.0),
+            leaf: Some(0),
+            ..FaultSpec::default()
+        }),
+        Edit::OneCell => spec.hall.cells = 1,
+        Edit::Threads(t) => spec.selfheal.threads = t,
+    }
+}
+
+/// The random edits below rarely land a valid insertion of every kind, so
+/// pin one: each of the six fault kinds, inserted at time 0 and at the
+/// horizon's last millisecond into the leaf-spine spec, validates and runs.
+#[test]
+fn every_fault_kind_at_the_horizon_edges_runs() {
+    let (_, base) = cut_specs()
+        .into_iter()
+        .find(|(name, _)| name == "link_flap.json")
+        .expect("link_flap.json is checked in");
+    for kind in 0..FAULT_KINDS.len() {
+        for at in [Edge::Zero, Edge::LastMs] {
+            let mut spec = base.clone();
+            let edit = Edit::Insert {
+                kind,
+                at,
+                until: Some(Edge::Horizon),
+            };
+            apply(&mut spec, &edit);
+            spec.validate()
+                .unwrap_or_else(|e| panic!("{edit:?} should validate: {e}"));
+            let run = std::panic::catch_unwind(|| run(&spec, &Registry::new()));
+            assert!(run.is_ok(), "{edit:?} panicked after validating");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Validate ⇒ no panic: every checked-in spec, cut to size and edited
+    /// at fault-time edges (0, horizon − 1, horizon), with inserted faults
+    /// of every kind, one cell, or 0/1/4 shard threads, either fails
+    /// `validate` or runs to `Ok` or a typed `ScenarioError`.
+    #[test]
+    fn validated_specs_never_panic(
+        edits in prop::collection::vec(prop::collection::vec(edit(), 1..3), 16..17),
+    ) {
+        let specs = cut_specs();
+        prop_assert!(specs.len() <= edits.len(), "one edit list per checked-in spec");
+        for ((name, mut spec), edits) in specs.into_iter().zip(&edits) {
+            for e in edits {
+                apply(&mut spec, e);
+            }
+            if spec.validate().is_err() {
+                continue;
+            }
+            let run = std::panic::catch_unwind(|| run(&spec, &Registry::new()));
+            prop_assert!(run.is_ok(), "{name} with {edits:?} panicked after validating");
+        }
+    }
 }

@@ -449,35 +449,62 @@ fn selfheal_chaos_is_deterministic() {
 /// One observation per cell-window: the unified loop renders each live
 /// cell's capture once and runs the Goertzel bank over it once, and
 /// decode and the ambient re-tune both read that one analysis. The
-/// evacuated cell is not observed after its replan.
+/// evacuated cell is not observed after its replan. Cells are the only
+/// parallel unit, so the work counters are exact and equal at one and at
+/// four shard threads.
 #[test]
 fn one_render_and_one_analysis_per_cell_window() {
-    let spec = chaos_spec();
-    let registry = mdn_obs::Registry::new();
-    let out = mdn_core::scenario::run(&spec, &registry).expect("chaos scenario runs");
-    let pairs: u64 = out
-        .windows
-        .iter()
-        .scan(spec.hall.cells as u64, |live, w| {
-            let observed = *live;
-            *live -= u64::from(w.replanned.is_some());
-            Some(observed)
-        })
-        .sum();
-    assert_eq!(pairs, 52, "4 cells × 15 windows, cell 1 gone for the last 8");
-    let snap = registry.snapshot();
-    for stage in ["scene.render", "detect.goertzel_bank"] {
-        let count = snap.histograms[&format!("mdn_stage_ns{{stage=\"{stage}\"}}")].count;
-        assert_eq!(count, pairs, "{stage} ran {count} times for {pairs} cell-windows");
+    let mut totals = Vec::new();
+    for threads in [1usize, 4] {
+        let mut spec = chaos_spec();
+        spec.selfheal.threads = threads;
+        let registry = mdn_obs::Registry::new();
+        let out = mdn_core::scenario::run(&spec, &registry).expect("chaos scenario runs");
+        let pairs: u64 = out
+            .windows
+            .iter()
+            .scan(spec.hall.cells as u64, |live, w| {
+                let observed = *live;
+                *live -= u64::from(w.replanned.is_some());
+                Some(observed)
+            })
+            .sum();
+        assert_eq!(
+            pairs, 52,
+            "4 cells × 15 windows, cell 1 gone for the last 8"
+        );
+        let snap = registry.snapshot();
+        for stage in ["scene.render", "detect.goertzel_bank"] {
+            let count = snap.histograms[&format!("mdn_stage_ns{{stage=\"{stage}\"}}")].count;
+            assert_eq!(
+                count, pairs,
+                "{stage} ran {count} times for {pairs} cell-windows"
+            );
+        }
+        // One ambient bed per window: every live cell observes the same
+        // pre-rolled span, and the bed does not depend on the listener, so
+        // the 52 renders share 15 syntheses — one per window, each
+        // window's span distinct from the last (window 0's pre-roll clamps
+        // at t = 0, the others start 150 ms before their window).
+        assert_eq!(out.windows.len(), 15);
+        assert_eq!(
+            snap.counters["mdn_scene_ambient_renders_total"], 15,
+            "one bed synthesis per window"
+        );
+        totals.push([
+            snap.counters["mdn_detect_frames_total"],
+            snap.counters["mdn_events_decoded_total"],
+            snap.counters["mdn_scene_ambient_renders_total"],
+        ]);
     }
-    // One ambient bed per window: every live cell observes the same
-    // pre-rolled span, and the bed does not depend on the listener, so the
-    // 52 renders share 15 syntheses — one per window, each window's span
-    // distinct from the last (window 0's pre-roll clamps at t = 0, the
-    // others start 150 ms before their window).
-    assert_eq!(out.windows.len(), 15);
     assert_eq!(
-        snap.counters["mdn_scene_ambient_renders_total"], 15,
-        "one bed synthesis per window"
+        totals[0], totals[1],
+        "[frames, events, beds] at 1 vs 4 shard threads"
+    );
+    // Window 0's 300 ms capture is 12 frames at the 25 ms hop, each later
+    // 450 ms pre-rolled capture 18: 4 × 12 + 48 × 18.
+    assert_eq!(
+        totals[0][0], 912,
+        "analysis frames over the 52 cell-windows"
     );
 }
